@@ -25,11 +25,26 @@ Theorems 3.4 and 3.5 state that these are exactly the lub and glb of the
 sub-object order; the property-based tests verify the lub/glb laws and the
 standard lattice identities (idempotence, commutativity, associativity,
 absorption) on randomly generated reduced objects.
+
+Evaluation strategy.  The closure ``R*(O)`` of Definition 4.6 is built from
+unions, so their cost is the cost of a closure.  Interned operands are
+reduced, so the elements of one interned set are pairwise incomparable: a
+union of interned sets only tests pairs drawn from different operands, and
+never tests an atom, which is incomparable with every element but itself
+(:func:`~repro.core.order.maximal_union`).  A union of atom sets, such as
+the ``doa`` set every round of Example 4.5 merges into, therefore costs
+``O(n + m)``; sets of tuples or of sets still cost up to ``n·m`` tests, as
+the cross-domination scan does.  :func:`union_all` is **n-ary**: it joins any
+number of interned operands in one step (one reduction per set,
+attribute-wise recursion for tuples) rather than folding them in pairwise.
+Raw (un-interned) operands, which may be non-reduced (Example 3.2), keep the
+exact binary definition: the cross-domination scan for sets and a
+left-to-right fold in ``union_all``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable, List
 
 from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
@@ -42,7 +57,7 @@ from repro.core.objects import (
     Top,
     TupleObject,
 )
-from repro.core.order import is_subobject
+from repro.core.order import is_subobject, maximal_union
 
 # Both operations are commutative, so results for interned operands are
 # memoized under the (smaller id, larger id) pair.  Values are objects, which
@@ -94,19 +109,14 @@ def union(left: ComplexObject, right: ComplexObject) -> ComplexObject:
 
 
 def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObject:
-    # Definition 3.4(iii): attribute-wise union.  If any attribute joins to ⊤
-    # the TupleObject constructor collapses the whole tuple to ⊤, which is
-    # exactly the behaviour required by the last paragraph of Theorem 3.4.
+    if left._iid is not None and right._iid is not None:
+        return _union_interned([left, right])
+    # Raw operands may be non-reduced, so the exact definition applies.
+    # Definition 3.4(iii): attribute-wise union.
     if isinstance(left, TupleObject) and isinstance(right, TupleObject):
-        attributes = {}
-        for name in set(left.attributes) | set(right.attributes):
-            attributes[name] = union(left.get(name), right.get(name))
-        return TupleObject(attributes)
-    # Definition 3.4(iv): reduced set union.  Both operands are already
-    # reduced, so only cross-domination between the two element lists has to
-    # be checked; this avoids the quadratic re-reduction the general
-    # constructor would perform and is what keeps large unions (the hot path
-    # of rule application) affordable.
+        return _union_tuples([left, right])
+    # Definition 3.4(iv): keep each element not dominated across the two
+    # element lists.
     if isinstance(left, SetObject) and isinstance(right, SetObject):
         right_elements = right.elements
         left_elements = left.elements
@@ -123,17 +133,37 @@ def _union_structural(left: ComplexObject, right: ComplexObject) -> ComplexObjec
                 for element in left_elements
             )
         )
-        # The cross-filter leaves no structural duplicates (an element present
-        # on both sides survives only through the right operand), so the
-        # dedup-free constructor applies.  Hash-consing the result is only
-        # sound when both operands are interned (hence reduced, hence the
-        # kept list is reduced); raw non-reduced operands can leave mutually
-        # dominating elements in `kept` and must stay un-interned.
-        if left._iid is not None and right._iid is not None:
-            return SetObject._from_reduced(kept)
         return SetObject._build(kept)
     # Definition 3.4(v): incompatible kinds.
     return TOP
+
+
+def _union_interned(operands: List[ComplexObject]) -> ComplexObject:
+    """The lub of two or more distinct interned operands, none of them ⊥ or ⊤."""
+    kind = type(operands[0])
+    if any(type(value) is not kind for value in operands):
+        return TOP  # Definition 3.4(v)
+    if kind is SetObject:
+        # Definition 3.4(iv): the maximal elements across every operand.
+        return SetObject._from_reduced(maximal_union([value.elements for value in operands]))
+    if kind is TupleObject:
+        return _union_tuples(operands)
+    # Definition 3.4(ii): the operands are distinct atoms.
+    return TOP
+
+
+def _union_tuples(operands: List[ComplexObject]) -> ComplexObject:
+    """Definition 3.4(iii): attribute-wise union; absent attributes read as ⊥.
+
+    If any attribute joins to ⊤ the TupleObject constructor collapses the
+    whole tuple to ⊤, which is exactly the behaviour required by the last
+    paragraph of Theorem 3.4.
+    """
+    values: Dict[str, List[ComplexObject]] = {}
+    for value in operands:
+        for name, child in value.items():
+            values.setdefault(name, []).append(child)
+    return TupleObject({name: union_all(children) for name, children in values.items()})
 
 
 def intersection(left: ComplexObject, right: ComplexObject) -> ComplexObject:
@@ -174,16 +204,44 @@ def _intersection_structural(left: ComplexObject, right: ComplexObject) -> Compl
 
 
 def union_all(objects: Iterable[ComplexObject]) -> ComplexObject:
-    """Fold :func:`union` over ``objects``; the union of nothing is ⊥.
+    """Return the least upper bound of ``objects``; the union of nothing is ⊥.
 
-    The empty case follows from ⊥ being the least element: the lub of the
-    empty set of objects is the bottom of the lattice.
+    The empty case follows from ⊥ being the least element.  ⊥ operands are
+    dropped.  ⊤ is absorbing, so no further operand is drawn once the result
+    is known to be ⊤: at a ⊤ operand, at an operand of another kind than the
+    first, or at a second distinct atom.  A ⊤ that only arises inside tuple
+    attributes is found after every operand has been drawn.  When every
+    operand is interned, three or more distinct operands are joined in one
+    n-ary step (:func:`_union_interned`); otherwise the operands are folded
+    left to right with :func:`union`, which keeps the exact binary definition
+    on non-reduced objects.
     """
-    result: ComplexObject = BOTTOM
+    operands: List[ComplexObject] = []
+    interned = True
     for value in objects:
+        if not isinstance(value, ComplexObject):
+            raise TypeError("lattice operations expect complex objects")
+        if value is TOP:
+            return TOP
+        if value is BOTTOM:
+            continue
+        if operands:
+            first = operands[0]
+            if type(value) is not type(first):
+                return TOP  # Definition 3.4(v)
+            if isinstance(value, Atom) and value != first:
+                return TOP  # Definition 3.4(ii)
+        if value._iid is None:
+            interned = False
+        operands.append(value)
+    if interned:
+        operands = list({value._iid: value for value in operands}.values())
+        if len(operands) > 2:
+            return _union_interned(operands)
+    result: ComplexObject = BOTTOM
+    for value in operands:
         result = union(result, value)
-        if result.is_top:
-            # ⊤ is absorbing for union; no later operand can change the result.
+        if result is TOP:
             return TOP
     return result
 

@@ -37,7 +37,7 @@ still hit the cache.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.intern import IdPairCache, register_cache
 from repro.core.objects import (
@@ -58,6 +58,7 @@ __all__ = [
     "maximal_elements",
     "minimal_elements",
     "maximal_unique",
+    "maximal_union",
     "clear_order_cache",
 ]
 
@@ -342,6 +343,43 @@ def _discriminator_buckets(items, group):
 def maximal_unique(objects: List[ComplexObject]) -> List[ComplexObject]:
     """Maximal elements of an already-deduplicated list (used by reduction)."""
     return _survivors(list(objects), flip=False)
+
+
+def maximal_union(operands: Sequence[Sequence[ComplexObject]]) -> List[ComplexObject]:
+    """Maximal elements of the union of the element lists of interned sets.
+
+    An interned set is reduced, so its elements are pairwise incomparable and
+    only pairs drawn from different operands need the sub-object test.  Atoms
+    need none: after merging duplicates by intern id they are incomparable
+    with every other element.  Each remaining element is tested once against
+    every non-atom element of the other operands, so two operands of sizes
+    ``n`` and ``m`` cost at most ``n·m`` tests (pairs of different kind,
+    depth or tuple width are rejected by the interned test's fingerprint
+    check), and a union of atom sets costs ``O(n + m)``.
+    """
+    kept: List[ComplexObject] = []
+    seen = set()
+    groups: List[List[ComplexObject]] = []
+    for operand in operands:
+        group = []
+        for element in operand:
+            if element._iid in seen:
+                continue
+            seen.add(element._iid)
+            if isinstance(element, Atom):
+                kept.append(element)
+            else:
+                group.append(element)
+        if group:
+            groups.append(group)
+    for position, group in enumerate(groups):
+        others = groups[:position] + groups[position + 1 :]
+        for element in group:
+            if not any(
+                _is_subobject_inner(element, other) for rest in others for other in rest
+            ):
+                kept.append(element)
+    return kept
 
 
 def maximal_elements(objects: Iterable[ComplexObject]) -> List[ComplexObject]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import DivergenceError
 from repro.core.lattice import union, union_all
@@ -308,14 +308,12 @@ class SemiNaiveEngine:
         """Evaluate a non-recursive stratum: one full application suffices."""
         self._check_deadline(current)
         live = self._live_rules(stratum, plans)
-        with _trace.span("engine.round") as span:
-            if span.enabled:
-                span.set(round=1, mode="full")
-            produced = union_all(
-                self._apply_full(rule, current, plans, indexes, stats)
-                for rule in live
-            )
-        next_value = union(current, produced)
+        next_value = self._round(
+            1,
+            "full",
+            current,
+            (self._apply_full(rule, current, plans, indexes, stats) for rule in live),
+        )
         if next_value == current:
             return current
         # Like close(), ``iterations`` counts growing applications only, so
@@ -347,14 +345,12 @@ class SemiNaiveEngine:
         round_ns = _METRICS.histogram("engine.round_ns")
         self._charge(budget, current)
         round_start = time.perf_counter_ns()
-        with _trace.span("engine.round") as span:
-            if span.enabled:
-                span.set(round=1, mode="full")
-            produced = union_all(
-                self._apply_full(rule, current, plans, indexes, stats)
-                for rule in live
-            )
-            next_value = union(current, produced)
+        next_value = self._round(
+            1,
+            "full",
+            current,
+            (self._apply_full(rule, current, plans, indexes, stats) for rule in live),
+        )
         round_ns.observe(time.perf_counter_ns() - round_start)
         if next_value == current:
             return current
@@ -369,14 +365,15 @@ class SemiNaiveEngine:
             round_number += 1
             self._charge(budget, current)
             round_start = time.perf_counter_ns()
-            with _trace.span("engine.round") as span:
-                if span.enabled:
-                    span.set(round=round_number, mode="delta")
-                produced = union_all(
+            next_value = self._round(
+                round_number,
+                "delta",
+                current,
+                (
                     self._apply_delta(rule, previous, current, plans, indexes, stats)
                     for rule in live
-                )
-                next_value = union(current, produced)
+                ),
+            )
             round_ns.observe(time.perf_counter_ns() - round_start)
             if next_value == current:
                 return current
@@ -385,6 +382,28 @@ class SemiNaiveEngine:
             if indexes is not None:
                 indexes.refresh(current, next_value)
             previous, current = current, next_value
+
+    @staticmethod
+    def _round(
+        number: int,
+        mode: str,
+        current: ComplexObject,
+        contributions: Iterable[ComplexObject],
+    ) -> ComplexObject:
+        """One traced round: ``current ∪ ⋃ contributions``.
+
+        ``contributions`` yields each rule's result lazily.  It is drained
+        under ``engine.apply`` (rule matching) before the round's lattice
+        work runs under ``engine.merge``, so the two children cover the
+        ``engine.round`` span.
+        """
+        with _trace.span("engine.round") as span:
+            if span.enabled:
+                span.set(round=number, mode=mode)
+            with _trace.span("engine.apply"):
+                contributions = list(contributions)
+            with _trace.span("engine.merge"):
+                return union(current, union_all(contributions))
 
     @staticmethod
     def _live_rules(stratum: Stratum, plans: Dict[Rule, BodyPlan]) -> List[Rule]:

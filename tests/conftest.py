@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro import parse_object
-from repro.core.objects import Atom, SetObject, TupleObject
+from repro.core.objects import BOTTOM, TOP, Atom, SetObject, TupleObject
 from repro.workloads import make_genealogy, make_join_workload
 
 
@@ -91,6 +91,31 @@ try:
         return st.dictionaries(st.sampled_from(_ATTRIBUTE_NAMES), atoms(), max_size=3).map(
             TupleObject
         )
+
+    def union_operand_lists(max_depth: int = 3):
+        """Strategy producing 0–6 operands for an n-ary union.
+
+        A pool of up to four operands is shuffled together with up to two
+        repeats of its members, so duplicates are common.  The pool mixes ⊥,
+        ⊤ and every kind, or is restricted to sets or to tuples so that most
+        lists have a consistent union.
+        """
+        children = complex_objects(max_depth - 1)
+        pools = (
+            st.one_of(complex_objects(max_depth), st.just(BOTTOM), st.just(TOP)),
+            st.lists(children, min_size=1, max_size=3).map(SetObject),
+            st.dictionaries(st.sampled_from(_ATTRIBUTE_NAMES), children, max_size=3).map(
+                TupleObject
+            ),
+        )
+
+        def with_repeats(pool):
+            if not pool:
+                return st.just([])
+            repeats = st.lists(st.sampled_from(pool), max_size=2)
+            return repeats.flatmap(lambda extra: st.permutations(pool + extra))
+
+        return st.one_of(*(st.lists(pool, max_size=4) for pool in pools)).flatmap(with_repeats)
 
 except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
     pass

@@ -292,6 +292,46 @@ def test_engine_round_spans_carry_delta_sizes(tracer):
     assert "full" in modes and "delta" in modes
 
 
+def test_engine_round_children_cover_the_round(tracer):
+    # Every round's rule matching sits under engine.apply and its lattice
+    # union under engine.merge, so the round's time is attributed.
+    import gc
+
+    from repro.workloads import make_genealogy
+
+    tree = make_genealogy(5, 3)
+    collecting = gc.isenabled()
+    gc.disable()  # a collection between the children would read as uncovered time
+    try:
+        with repro.connect() as session:
+            session.put("family", tree.family_object.get("family"))
+            session.register(
+                "[doa: {abraham}].\n"
+                "[doa: {X}] :- [family: {[name: Y, children: {[name: X]}]}, doa: {Y}]."
+            )
+            session.close()
+    finally:
+        if collecting:
+            gc.enable()
+
+    def spans_named(span, name):
+        found = [span] if span.name == name else []
+        for child in span.children:
+            found.extend(spans_named(child, name))
+        return found
+
+    rounds = []
+    for root in tracer.traces():
+        rounds.extend(spans_named(root, "engine.round"))
+    assert len(rounds) >= 5
+    for round_span in rounds:
+        names = [child.name for child in round_span.children]
+        assert names == ["engine.apply", "engine.merge"], names
+    covered = sum(child.duration_ns for span in rounds for child in span.children)
+    total = sum(span.duration_ns for span in rounds)
+    assert covered >= 0.9 * total, (covered, total)
+
+
 # -- the one-JSON-document contract ------------------------------------------------------
 
 

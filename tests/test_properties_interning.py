@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tests.conftest import atoms, complex_objects  # noqa: E402
+from tests.conftest import atoms, complex_objects, union_operand_lists  # noqa: E402
 
 from repro import Program  # noqa: E402
 from repro.core import (  # noqa: E402
@@ -26,10 +26,13 @@ from repro.core import (  # noqa: E402
     clear_object_caches,
     intersection,
     is_interned,
+    is_lattice_consistent,
     is_subobject,
     maximal_elements,
     union,
+    union_all,
 )
+from repro.core.order import maximal_union  # noqa: E402
 from repro.calculus.fixpoint import close  # noqa: E402
 from repro.workloads import make_genealogy  # noqa: E402
 
@@ -124,6 +127,15 @@ class TestOrderPreservation:
 
         assert maximal_elements(items) == reference(items)
 
+    @given(st.lists(st.lists(complex_objects(max_depth=2), max_size=4).map(SetObject), max_size=4))
+    def test_maximal_union_matches_maximal_elements(self, sets):
+        # Testing only pairs from different reduced sets loses nothing.
+        parts = [value.elements for value in sets]
+        concatenated = [element for part in parts for element in part]
+        joined = maximal_union(parts)
+        assert len(joined) == len(set(joined))
+        assert set(joined) == set(maximal_elements(concatenated))
+
 
 class TestLatticePreservation:
     @given(complex_objects(max_depth=2), complex_objects(max_depth=2))
@@ -133,6 +145,15 @@ class TestLatticePreservation:
     @given(complex_objects(max_depth=2), complex_objects(max_depth=2))
     def test_intersection_agrees_with_raw_path(self, left, right):
         assert intersection(left, right) == intersection(raw_twin(left), raw_twin(right))
+
+    @given(union_operand_lists(max_depth=2))
+    def test_union_all_agrees_with_raw_path(self, operands):
+        raw = [raw_twin(value) for value in operands]
+        assert union_all(operands) == union_all(raw)
+
+    @given(complex_objects(max_depth=2), complex_objects(max_depth=2))
+    def test_lattice_laws_hold_on_raw_operands(self, left, right):
+        assert is_lattice_consistent(raw_twin(left), raw_twin(right))
 
     @given(complex_objects(max_depth=2), complex_objects(max_depth=2))
     def test_interned_lattice_results_are_canonical(self, left, right):

@@ -5,12 +5,14 @@ and together they must satisfy the standard lattice identities on the space of
 reduced objects.
 """
 
+import functools
+
 from hypothesis import given
 
-from tests.conftest import complex_objects
+from tests.conftest import complex_objects, union_operand_lists
 
 from repro.core.enumeration import all_subobjects
-from repro.core.lattice import intersection, union
+from repro.core.lattice import intersection, union, union_all
 from repro.core.objects import BOTTOM, TOP
 from repro.core.order import is_subobject
 
@@ -96,3 +98,28 @@ class TestTheorem36LatticeLaws:
         below = is_subobject(left, right)
         assert below == (union(left, right) == right)
         assert below == (intersection(left, right) == left)
+
+
+class TestNaryUnion:
+    @given(union_operand_lists())
+    def test_union_all_equals_the_binary_fold(self, operands):
+        assert union_all(operands) == functools.reduce(union, operands, BOTTOM)
+
+    @given(union_operand_lists(max_depth=2))
+    def test_union_all_is_an_upper_bound(self, operands):
+        joined = union_all(operands)
+        assert all(is_subobject(value, joined) for value in operands)
+
+    @given(union_operand_lists(max_depth=2), complex_objects(max_depth=2))
+    def test_union_all_is_least_among_upper_bounds(self, operands, candidate):
+        if all(is_subobject(value, candidate) for value in operands):
+            assert is_subobject(union_all(operands), candidate)
+
+    @given(union_operand_lists(max_depth=2))
+    def test_union_all_is_least_against_enumerated_bounds(self, operands):
+        joined = union_all(operands)
+        if joined.is_top:
+            return
+        for candidate in all_subobjects(joined, limit=3000):
+            if all(is_subobject(value, candidate) for value in operands):
+                assert candidate == joined
