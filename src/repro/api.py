@@ -60,7 +60,7 @@ from repro.core.errors import (
     StoreError,
 )
 from repro.core.lattice import union, union_all
-from repro.core.objects import BOTTOM, ComplexObject, TupleObject
+from repro.core.objects import BOTTOM, ComplexObject
 from repro.calculus.fixpoint import ClosureResult
 from repro.calculus.rules import Rule
 from repro.calculus.substitution import Substitution
@@ -342,6 +342,11 @@ class Session:
         :class:`LintError` when the report has errors *or* warnings;
         ``"off"`` skips the analysis.  The pass is statistics-free (no walk
         of the database), so preparing stays cheap.
+
+        A query over the store's whole database also gets the store's
+        element indexes for every scan it pins with a ``$parameter`` or a
+        constant atom (created once, then maintained by every commit), so
+        each execution probes one bucket instead of scanning the set.
         """
         if lint not in ("warn", "strict", "off"):
             raise ReproError(
@@ -388,6 +393,7 @@ class Session:
                         f" {report.warnings} warning(s)): {source}",
                         diagnostics,
                     )
+            self._create_element_indexes(parsed, options)
             self._counters["prepared_queries"] += 1
             _METRICS.counter("session.prepared_queries").inc()
             trace_id = None
@@ -612,6 +618,32 @@ class Session:
             return parse_formula(query)
         return to_formula(query)
 
+    def _store_mode(self, options: Mapping) -> bool:
+        """Whether a query with ``options`` reads the store's whole database."""
+        return (
+            not self._seeded
+            and options.get("against") is None
+            and not options.get("on_closure")
+        )
+
+    def _create_element_indexes(self, parsed: Formula, options: Mapping) -> None:
+        """Create the element indexes a prepared store query's scans can probe.
+
+        One per (set path, key path) its scan leaves pin with a
+        ``$parameter`` or a constant atom.  Only whole-database queries over
+        the store probe them, and ``allow_bottom`` never probes, so no other
+        prepare creates any.
+        """
+        if not self._store_mode(options) or options.get("allow_bottom"):
+            return
+        from repro.plan import ScanLeaf, compile_body
+
+        for leaf in compile_body(parsed).leaves:
+            if not isinstance(leaf, ScanLeaf) or not leaf.path.steps:
+                continue
+            for key_path, _ in leaf.param_keys + leaf.static_keys:
+                self._db.create_element_index(leaf.path, key_path)
+
     def _convert_params(self, formula: Formula, params: Mapping) -> Dict[str, ComplexObject]:
         from repro.plan.parameters import validate_parameters
 
@@ -787,16 +819,12 @@ class Session:
     ) -> "Cursor":
         from repro.plan import bind_body_plan
 
-        store_mode = (
-            not self._seeded
-            and options.get("against") is None
-            and not options.get("on_closure")
-        )
-        if store_mode:
+        if self._store_mode(options):
             # Store-backed whole-database execution: the store's access-path
-            # selection (root-attribute pushdown, index ⊥-short-circuit) and
-            # access counters, exactly as ``ObjectDatabase.query`` always
-            # decided.  The refutation probe always reads a binding of the
+            # selection (root-attribute pushdown, index ⊥-short-circuit, the
+            # element-index view scan leaves probe) and access counters,
+            # exactly as ``ObjectDatabase.query`` always decided.  The
+            # refutation probe always reads a binding of the
             # *parameterized* compiled plan (cached-optimized when available,
             # else the compile-memoized source order — leaf order is
             # irrelevant to refutation), so no bound formula is ever
@@ -808,7 +836,7 @@ class Session:
             probe_plan = bind_body_plan(
                 cached if cached is not None else compile_body(formula), values
             )
-            kind, _, restricted, _ = self._db._choose_access_path(
+            kind, _, target, _, view = self._db._choose_access_path(
                 bound, allow_bottom, plan=probe_plan
             )
             if kind == "refuted":
@@ -820,12 +848,9 @@ class Session:
                     stats=run_stats, on_finish=on_finish, deadline=deadline,
                     batch_size=batch_size,
                 )
-            if kind == "pushdown":
-                self._db._bump("query_root_pushdowns")
-                target: ComplexObject = TupleObject(restricted)
-            else:
-                self._db._bump("query_scans")
-                target = self._db.as_object()
+            self._db._bump(
+                "query_root_pushdowns" if kind == "pushdown" else "query_scans"
+            )
             if span.enabled:
                 span.set(access=kind)
             if cached is not None:
@@ -837,7 +862,7 @@ class Session:
             return Cursor(
                 bound_plan, target, allow_bottom=allow_bottom, explain=explain,
                 stats=run_stats, on_finish=on_finish, deadline=deadline,
-                batch_size=batch_size,
+                batch_size=batch_size, indexes=view,
             )
 
         mode, target = self._resolve_target(bound, options, deadline=deadline)
@@ -1055,10 +1080,12 @@ class Cursor:
         on_finish=None,
         deadline=None,
         batch_size: Optional[int] = None,
+        indexes=None,
     ):
         self._plan = plan
         self._target = target
         self._allow_bottom = allow_bottom
+        self._indexes = indexes
         self._explain_thunk = explain
         self._stats = stats
         self._on_finish = on_finish
@@ -1075,7 +1102,7 @@ class Cursor:
             # ``batch_size=1`` degenerates to one-partial-at-a-time.
             self._substitutions = iter_match_plan(
                 plan, target, allow_bottom=allow_bottom, stats=stats,
-                deadline=deadline, batch_size=batch_size,
+                deadline=deadline, batch_size=batch_size, indexes=indexes,
             )
         self._seen = set()
         self._matches: List[ComplexObject] = []
@@ -1140,6 +1167,7 @@ class Cursor:
                     allow_bottom=self._allow_bottom,
                     stats=self._stats,
                     deadline=self._deadline,
+                    indexes=self._indexes,
                 )
                 self._substitutions = iter(())
                 self._started = True

@@ -37,6 +37,14 @@ __all__ = [
     "var",
 ]
 
+#: The bound of every process-wide memo keyed on a formula (plan compilation,
+#: compiled leaf matchers, element keys, default plans).  Each distinct query
+#: text makes new formula objects — fresh variable names alone do — and each
+#: entry pins its formula, so the bound caps what a stream of ad-hoc queries
+#: can hold (~2.7 KB per query across the four memos).  A program's rule
+#: bodies need only a few dozen entries.
+FORMULA_CACHE_SIZE = 256
+
 
 class Formula:
     """Abstract base class of well-formed formulae.

@@ -11,9 +11,9 @@ complex-object calculus itself:
 * :mod:`repro.engine.delta` — semi-naive delta decomposition of rule bodies,
   so each round only matches against sub-objects contributed by the previous
   round (with a full-matching fallback for bodies that cannot be decomposed);
-* :mod:`repro.engine.indexes` — match indexes over set elements keyed by
-  attribute paths of body formulae, maintained incrementally as the closure
-  grows;
+* :mod:`repro.engine.indexes` — one :class:`repro.store.index.MatchIndex`
+  per indexed set position of the rule bodies, maintained incrementally as
+  the closure grows;
 * :mod:`repro.engine.matching` — the delta- and index-aware matcher, a thin
   front over the shared plan pipeline of :mod:`repro.plan` (bodies compile
   into logical plans, the cost-based optimizer orders their joins, and one
@@ -41,7 +41,7 @@ from repro.engine.core import (
 )
 from repro.engine.delta import BodyDecomposition, DeltaPosition, decompose, new_set_elements
 from repro.engine.dependency import DependencyGraph, Stratum, access_paths
-from repro.engine.indexes import IndexStore, MatchIndex, element_keys
+from repro.engine.indexes import IndexStore
 from repro.engine.matching import match_body
 from repro.engine.stats import EngineStats
 
@@ -53,14 +53,12 @@ __all__ = [
     "EngineResult",
     "EngineStats",
     "IndexStore",
-    "MatchIndex",
     "NaiveEngine",
     "SemiNaiveEngine",
     "Stratum",
     "access_paths",
     "create_engine",
     "decompose",
-    "element_keys",
     "match_body",
     "new_set_elements",
 ]

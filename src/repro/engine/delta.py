@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula
-from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
-from repro.store.paths import Path
+from repro.core.objects import ComplexObject, SetObject
+from repro.store.paths import Path, navigate
 
 __all__ = [
     "DeltaPosition",
@@ -113,23 +113,6 @@ def decompose(body: Optional[Formula]) -> BodyDecomposition:
     if not walk(body, _ROOT):
         return _NOT_DECOMPOSABLE
     return BodyDecomposition(decomposable=True, positions=tuple(positions))
-
-
-def navigate(value: ComplexObject, path: Path) -> ComplexObject:
-    """Follow tuple attributes only; ⊥ when a step cannot be taken, ⊤ sticky.
-
-    Unlike :func:`repro.store.paths.get_path` this does *not* descend through
-    sets — the engine's delta paths address the sets themselves.
-    """
-    current = value
-    for step in path:
-        if current.is_top:
-            return current
-        if isinstance(current, TupleObject):
-            current = current.get(step)
-        else:
-            return BOTTOM
-    return current
 
 
 def new_set_elements(

@@ -1,146 +1,31 @@
-"""Match indexes: hash lookups for set-element witnesses.
+"""The engine's match indexes: one :class:`MatchIndex` per indexed set position.
 
 The matcher's inner loop tries an element formula against every element of a
-set.  When the formula pins an attribute path inside the element to an atom —
-either statically (a ground atom constant, as in ``[name: abraham]``) or
-dynamically (a variable the running partial substitution has already bound to
-an atom, the join case of Example 4.5) — only elements carrying exactly that
-atom at that path can survive the strict semantics: an absent attribute reads
-⊥, a different atom meets to ⊥, and a tuple or set at the path is incomparable
-with an atom.  Normalized objects cannot contain ⊤ below a set element (the
-constructors collapse such objects), so equality on the atom is the complete
-candidate condition.
-
-A :class:`MatchIndex` therefore buckets the elements of the set at one
-attribute path (a :class:`repro.store.paths.Path`, as in the persistent
-store's ``PathIndex``) by the atom found at each registered key path inside
-the element.  Unlike ``store.PathIndex`` it is maintained *incrementally
-during evaluation*: after every round the :class:`IndexStore` feeds it just
-the new elements.  Elements absorbed by set reduction are left in the buckets
-on purpose — matching a stale element only re-derives results dominated by the
-absorbing element, which the union absorbs — so removal bookkeeping stays off
-the hot path.
+set.  When the formula pins an attribute path inside the element to an atom
+(see :func:`repro.store.index.element_keys`), a :class:`~repro.store.index.
+MatchIndex` narrows the witnesses to one bucket.  The store keeps the same
+index class for session queries; during evaluation an :class:`IndexStore`
+owns one per rule-body set position and maintains it *incrementally*: after
+every round it feeds the index just the new elements.  Elements absorbed by
+set reduction are left in the buckets on purpose — matching a stale element
+only re-derives results dominated by the absorbing element, which the union
+absorbs — so removal bookkeeping stays off the hot path.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.calculus.terms import Constant, Formula, SetFormula, TupleFormula, Variable
-from repro.core.objects import Atom, ComplexObject, SetObject, TupleObject
+from repro.calculus.terms import Formula, SetFormula, TupleFormula
+from repro.core.objects import ComplexObject, SetObject
 from repro.engine.delta import navigate, new_set_elements
 from repro.engine.stats import EngineStats
+from repro.store.index import MatchIndex, element_keys
 from repro.store.paths import Path
 
-__all__ = ["MatchIndex", "IndexStore", "element_keys", "ElementKey"]
+__all__ = ["IndexStore"]
 
 _ROOT = Path(())
-
-#: One candidate lookup key of an element formula: the attribute path inside
-#: the element paired with either a ground atom (static) or a variable name
-#: (dynamic, usable once the variable is bound to an atom).
-ElementKey = Tuple[Path, Union[Atom, str]]
-
-
-@lru_cache(maxsize=4096)  # bounded: long-lived processes see many programs
-def element_keys(element_formula: Formula) -> Tuple[ElementKey, ...]:
-    """The usable lookup keys of one set-element formula, static keys first.
-
-    Keys address paths through nested tuple formulae; the empty path covers
-    element formulae that *are* an atom constant or a bare variable.  Nothing
-    below a nested set formula is collected — those attributes belong to inner
-    witnesses, not to the indexed element.
-    """
-    static: List[ElementKey] = []
-    dynamic: List[ElementKey] = []
-
-    def walk(node: Formula, path: Path) -> None:
-        if isinstance(node, TupleFormula):
-            for name, child in node.items():
-                walk(child, path.child(name))
-        elif isinstance(node, Constant) and isinstance(node.value, Atom):
-            static.append((path, node.value))
-        elif isinstance(node, Variable):
-            dynamic.append((path, node.name))
-
-    walk(element_formula, _ROOT)
-    return tuple(static) + tuple(dynamic)
-
-
-def _atom_at(element: ComplexObject, path: Path) -> Optional[Atom]:
-    """The atom at ``path`` inside ``element`` (tuple steps only), else ``None``."""
-    current = element
-    for step in path:
-        if not isinstance(current, TupleObject):
-            return None
-        current = current.get(step)
-    return current if isinstance(current, Atom) else None
-
-
-class MatchIndex:
-    """Buckets of one set's elements, keyed by the atoms at given key paths."""
-
-    __slots__ = ("set_path", "key_paths", "_buckets", "_seen")
-
-    def __init__(self, set_path: Path, key_paths: Iterable[Path]):
-        self.set_path = set_path
-        self.key_paths: Tuple[Path, ...] = tuple(dict.fromkeys(key_paths))
-        self._buckets: Dict[Path, Dict[Atom, List[ComplexObject]]] = {
-            path: {} for path in self.key_paths
-        }
-        # Database elements are interned, so structural identity coincides
-        # with instance identity: the seen-set keys on id() (with the object
-        # kept as the value so the id stays pinned) and membership never has
-        # to hash or compare object trees.
-        self._seen: Dict[int, ComplexObject] = {}
-
-    def __repr__(self) -> str:
-        return (
-            f"<MatchIndex on {self.set_path or '<root>'}"
-            f" keys={[str(p) for p in self.key_paths]}"
-            f" covering {len(self._seen)} elements>"
-        )
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    # -- maintenance ---------------------------------------------------------------
-    def add(self, element: ComplexObject) -> None:
-        """Index one element (idempotent)."""
-        marker = id(element)
-        if marker in self._seen:
-            return
-        self._seen[marker] = element
-        for key_path in self.key_paths:
-            key = _atom_at(element, key_path)
-            if key is not None:
-                self._buckets[key_path].setdefault(key, []).append(element)
-
-    def extend(self, elements: Iterable[ComplexObject]) -> None:
-        for element in elements:
-            self.add(element)
-
-    def clear(self) -> None:
-        self._seen.clear()
-        for bucket in self._buckets.values():
-            bucket.clear()
-
-    # -- queries --------------------------------------------------------------------
-    def candidates(
-        self, key_path: Path, key: ComplexObject
-    ) -> Optional[Tuple[ComplexObject, ...]]:
-        """Elements whose value at ``key_path`` is the atom ``key``.
-
-        ``None`` when this index cannot answer (unregistered path or non-atom
-        key); the empty tuple is a definitive "nothing can match".
-        """
-        if not isinstance(key, Atom):
-            return None
-        bucket = self._buckets.get(key_path)
-        if bucket is None:
-            return None
-        return tuple(bucket.get(key, ()))
 
 
 class IndexStore:

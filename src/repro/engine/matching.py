@@ -18,7 +18,7 @@ restriction and index narrowing this module used to implement:
 
 * **Index acceleration.**  Scan leaves are probed through the
   :class:`repro.engine.indexes.IndexStore` when the element formula carries a
-  usable key (see :func:`repro.engine.indexes.element_keys`); the executor's
+  usable key (see :func:`repro.store.index.element_keys`); the executor's
   accumulated partial substitution makes a variable bound by an earlier leaf
   (the join variable ``Y`` of Example 4.5) available to later dynamic-key
   probes, turning their scans into hash lookups.  Narrowing is only sound
@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.calculus.substitution import Substitution
-from repro.calculus.terms import Formula
+from repro.calculus.terms import FORMULA_CACHE_SIZE, Formula
 from repro.core.objects import ComplexObject
 from repro.engine.delta import DeltaPosition
 from repro.engine.indexes import IndexStore
@@ -49,7 +49,7 @@ from repro.plan.optimize import optimize_body
 __all__ = ["match_body"]
 
 
-@lru_cache(maxsize=4096)  # bounded: long-lived processes see many programs
+@lru_cache(maxsize=FORMULA_CACHE_SIZE)
 def _default_plan(body: Formula):
     """Compile + heuristically optimize a body with no database statistics."""
     return optimize_body(compile_body(body))

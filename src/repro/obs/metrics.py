@@ -237,6 +237,7 @@ DECLARED_COUNTERS: Tuple[str, ...] = (
     "store.index.query_root_pushdowns",
     "store.index.query_index_shortcircuits",
     "store.index.query_scans",
+    "store.index.query_element_probes",
     # WAL
     "store.wal.appends",
     "store.wal.bytes",

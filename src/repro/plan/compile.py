@@ -6,7 +6,7 @@ in :mod:`repro.plan.ir`:
 
 * each element of a set formula on the spine becomes a :class:`ScanLeaf`
   carrying its usable index keys (static ground atoms and dynamic variables,
-  via :func:`repro.engine.indexes.element_keys`);
+  via :func:`repro.store.index.element_keys`);
 * a spine variable becomes a :class:`BindLeaf`, a spine constant a
   :class:`ConstLeaf`, an empty tuple/set formula a :class:`CheckLeaf`.
 
@@ -27,6 +27,7 @@ from typing import List, Sequence, Union
 
 from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import (
+    FORMULA_CACHE_SIZE,
     Constant,
     Formula,
     Parameter,
@@ -37,6 +38,7 @@ from repro.calculus.terms import (
 from repro.core.lattice import intersection
 from repro.core.objects import TOP, Atom, TupleObject
 from repro.core.order import is_subobject
+from repro.store.index import element_keys
 from repro.store.paths import Path
 from repro.plan.ir import (
     BindLeaf,
@@ -67,7 +69,7 @@ _ROOT = Path(())
 _NO_BINDINGS: dict = {}
 
 
-@lru_cache(maxsize=4096)  # cached per element formula, shared across plans
+@lru_cache(maxsize=FORMULA_CACHE_SIZE)  # per element formula, shared across plans
 def compile_element_matcher(element: Formula):
     """Compile one scan-leaf element formula into a closure, or ``None``.
 
@@ -233,11 +235,6 @@ def split_element_keys(element: Formula):
     single source of this classification — the executor reuses the tuples
     stored on each :class:`ScanLeaf` rather than re-deriving them.
     """
-    # Import deferred: repro.plan must be importable before repro.engine
-    # finishes initialising (the engine matcher itself compiles through this
-    # module).
-    from repro.engine.indexes import element_keys
-
     static = []
     dynamic = []
     for key_path, key in element_keys(element):
@@ -251,7 +248,7 @@ def split_element_keys(element: Formula):
 def parameter_keys(element: Formula):
     """(key path, parameter name) pairs an element formula pins with ``$slots``.
 
-    Mirrors :func:`repro.engine.indexes.element_keys` (tuple-attribute paths
+    Mirrors :func:`repro.store.index.element_keys` (tuple-attribute paths
     only, nothing below a nested set formula) for :class:`Parameter` nodes —
     the keys that become static equality probes once the parameter is bound.
     """
@@ -268,7 +265,7 @@ def parameter_keys(element: Formula):
     return tuple(found)
 
 
-@lru_cache(maxsize=4096)  # bounded: long-lived processes see many programs
+@lru_cache(maxsize=FORMULA_CACHE_SIZE)
 def compile_body(body: Formula) -> BodyPlan:
     """Compile a body/query formula into its source-order :class:`BodyPlan`."""
     leaves: List[Leaf] = []

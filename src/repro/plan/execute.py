@@ -106,12 +106,15 @@ def match_plan(
 
     Agrees with :func:`repro.calculus.matching.match_all` on every body and
     target (restricted to the new-witness subset when ``position`` — a
-    :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is an
-    :class:`repro.engine.indexes.IndexStore` (or anything with its
-    ``candidates`` method); ``record``, when given, is filled with actual
-    per-leaf cardinalities for EXPLAIN.  ``deadline`` — a
-    :class:`repro.fault.Deadline` — is checked once per operator batch,
-    raising :class:`~repro.core.errors.QueryTimeout` when spent.
+    :class:`repro.engine.delta.DeltaPosition` — is given).  ``indexes`` is
+    anything with a ``candidates(set_path, key_path, key)`` method: the
+    engine's :class:`repro.engine.indexes.IndexStore` or the store's
+    :class:`repro.store.index.ElementIndexView`; it is ignored under
+    ``allow_bottom``.  ``record``, when given, is filled with actual
+    per-leaf cardinalities (and answered index probes) for EXPLAIN.
+    ``deadline`` — a :class:`repro.fault.Deadline` — is checked once per
+    operator batch, raising :class:`~repro.core.errors.QueryTimeout` when
+    spent.
 
     ``executor`` selects the physical strategy: ``"vector"`` (the default;
     batch-at-a-time with compiled leaf predicates) or ``"scalar"`` (the
@@ -684,14 +687,14 @@ class _Executor:
             static_candidates = None
             if static_keys:
                 static_candidates = self._probe(
-                    instance.spec.path, static_keys, count_miss=not dynamic_keys
+                    instance, static_keys, count_miss=not dynamic_keys
                 )
             preparation = [dynamic_keys, static_candidates, None]
             preparations[id(instance)] = preparation
         dynamic_keys, static_candidates, base_alternatives = preparation
         narrowed = static_candidates
         if narrowed is None and dynamic_keys:
-            narrowed = self._probe_dynamic(instance.spec.path, dynamic_keys, partial)
+            narrowed = self._probe_dynamic(instance, dynamic_keys, partial)
         if narrowed is None:
             if base_alternatives is None:
                 base_alternatives = self._alternatives(
@@ -800,27 +803,47 @@ class _Executor:
                 fresh.append(partial.meet(alternative))
         return fresh
 
-    def _probe(self, set_path, keys, *, count_miss: bool):
+    def _probe(self, instance: _Instance, keys, *, count_miss: bool):
         for key_path, atom in keys:
-            candidates = self.indexes.candidates(set_path, key_path, atom)
+            candidates = self.indexes.candidates(instance.spec.path, key_path, atom)
             if candidates is not None:
-                self.stats.index_hits += 1
+                self._hit(instance, key_path, candidates)
                 return candidates
         if count_miss:
             self.stats.index_misses += 1
         return None
 
-    def _probe_dynamic(self, set_path, keys, partial: Substitution):
+    def _probe_dynamic(self, instance: _Instance, keys, partial: Substitution):
         for key_path, name in keys:
             value = partial.get(name)
             if value is None:
                 continue
-            candidates = self.indexes.candidates(set_path, key_path, value)
+            candidates = self.indexes.candidates(instance.spec.path, key_path, value)
             if candidates is not None:
-                self.stats.index_hits += 1
+                self._hit(instance, key_path, candidates)
                 return candidates
         self.stats.index_misses += 1
         return None
+
+    def _hit(self, instance: _Instance, key_path, candidates) -> None:
+        """Count one answered probe; EXPLAIN records it on the leaf.
+
+        ``record["by_leaf_index"]`` maps a leaf to ``[index label, probes,
+        candidates, elements]`` — how many of the set's elements the
+        probes left to match.
+        """
+        self.stats.index_hits += 1
+        if self.record is None:
+            return
+        probes = self.record.setdefault("by_leaf_index", {})
+        entry = probes.get(leaf_key(instance.spec))
+        if entry is None:
+            label = ".".join(instance.spec.path.steps + key_path.steps)
+            entry = probes[leaf_key(instance.spec)] = [
+                label, 0, 0, len(instance.witnesses),
+            ]
+        entry[1] += 1
+        entry[2] += len(candidates)
 
     # -- witnesses ----------------------------------------------------------------------
     def _alternatives(
@@ -1163,7 +1186,7 @@ class _VectorExecutor(_Executor):
             static_candidates = None
             if static_keys:
                 static_candidates = self._probe(
-                    spec.path, static_keys, count_miss=not dynamic_keys
+                    instance, static_keys, count_miss=not dynamic_keys
                 )
             if static_candidates is not None:
                 alt_layout, alt_rows = self._vector_alternatives(
@@ -1216,7 +1239,7 @@ class _VectorExecutor(_Executor):
                     probe_key = tuple(id(prow[column]) for _, column in positions)
                 alt_rows = probe_cache.get(probe_key)
                 if alt_rows is None:
-                    narrowed = self._probe_dynamic_row(spec.path, positions, prow)
+                    narrowed = self._probe_dynamic_row(instance, positions, prow)
                     if narrowed is None:
                         alt_rows = self._base_rows(instance, scan)
                     else:
@@ -1254,12 +1277,14 @@ class _VectorExecutor(_Executor):
         _merge_rows(rows, alt_rows, new_indices, overlap, self.drop_bottom, fresh)
         return merged_layout, fresh
 
-    def _probe_dynamic_row(self, set_path, positions, row: tuple):
+    def _probe_dynamic_row(self, instance: _Instance, positions, row: tuple):
         """:meth:`_Executor._probe_dynamic` over a columnar row."""
         for key_path, column in positions:
-            candidates = self.indexes.candidates(set_path, key_path, row[column])
+            candidates = self.indexes.candidates(
+                instance.spec.path, key_path, row[column]
+            )
             if candidates is not None:
-                self.stats.index_hits += 1
+                self._hit(instance, key_path, candidates)
                 return candidates
         self.stats.index_misses += 1
         return None

@@ -16,7 +16,9 @@ just as visible as a bad cardinality estimate.  The vectorized executor also
 records per-leaf batch counts (``by_leaf_batches``: how many batches the
 operator dispatched and the total rows they carried), rendered as
 ``N batches, M rows/batch`` so a leaf that fragments the pipeline into
-tiny batches is visible too.
+tiny batches is visible too.  A scan leaf an element index answered
+(``by_leaf_index``) says so: ``via element index family.name: 1 of 1,093
+elements`` — how many of the set's elements the probes left to match.
 
 ``Program.explain()``, the CLI's ``run/query --explain`` and the store's
 ``store query --explain`` all render through this module.
@@ -39,6 +41,7 @@ def _leaf_lines(plan: BodyPlan, record: Optional[dict], indent: str) -> list:
     actuals: Dict = (record or {}).get("by_leaf", {})
     batches: Dict = (record or {}).get("by_leaf_batches", {})
     timings: Dict = (record or {}).get("by_leaf_ns", {})
+    probes: Dict = (record or {}).get("by_leaf_index", {})
     for position, (leaf, estimate) in enumerate(
         zip(plan.leaves, plan.estimates or (None,) * len(plan.leaves)), start=1
     ):
@@ -51,6 +54,13 @@ def _leaf_lines(plan: BodyPlan, record: Optional[dict], indent: str) -> list:
         actual = actuals.get(leaf_key(leaf))
         if actual is not None:
             notes.append(f"actual {actual}")
+        probed = probes.get(leaf_key(leaf))
+        if probed is not None:
+            label, count, found, elements = probed
+            many = f"{count:,} probes, " if count > 1 else ""
+            notes.append(
+                f"via element index {label}: {many}{found:,} of {elements:,} elements"
+            )
         dispatched = batches.get(leaf_key(leaf))
         if dispatched is not None:
             count, total_rows = dispatched

@@ -67,7 +67,7 @@ class DatabaseStatistics:
                     walk_element(element, path, _ROOT)
 
         def walk_element(value: ComplexObject, set_path: Path, key_path: Path) -> None:
-            # Mirror repro.engine.indexes.element_keys: key paths descend
+            # Mirror repro.store.index.element_keys: key paths descend
             # through the element's tuple attributes only.
             if isinstance(value, Atom):
                 bucket = distinct.setdefault((set_path, key_path), set())

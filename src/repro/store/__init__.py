@@ -12,8 +12,9 @@ substrate so the calculus can be used as an actual database system:
   always return new objects;
 * :mod:`repro.store.storage` — in-memory and write-ahead-log file-backed
   storage engines with group commit and torn-tail crash recovery;
-* :mod:`repro.store.index` — path indexes over stored collections to
-  accelerate pattern selections, with O(keys) maintenance via a reverse map;
+* :mod:`repro.store.index` — the name-level path index behind ``find`` and
+  the query ⊥-short-circuit (O(keys) maintenance via a reverse map), and the
+  element-level match index session queries probe inside a stored set;
 * :mod:`repro.store.locks` — the readers/writer lock behind the store's
   single-writer, snapshot-reader concurrency discipline;
 * :mod:`repro.store.transactions` — atomic multi-statement transactions with

@@ -16,6 +16,12 @@ storage engine, with:
 * pattern search across objects: :meth:`find` returns the names of the stored
   objects of which a pattern is a sub-object, prefiltering through every
   path index the pattern pins (``access_stats`` counts prefilters vs scans);
+* element indexes for session queries: :meth:`create_element_index` buckets
+  the elements of a stored set by the atom at a key path
+  (:class:`~repro.store.index.MatchIndex`); ``Session.prepare`` creates them
+  for its ``$parameter`` and constant keys, every commit maintains them, and
+  every whole-database session query probes them through the view
+  :meth:`_choose_access_path` hands out (``query_element_probes``);
 * schema enforcement: a type per name (optional) checked on every write;
 * functional updates with :mod:`repro.store.updates`, and atomic
   multi-statement transactions with :mod:`repro.store.transactions`.
@@ -27,7 +33,8 @@ under the shared side of an :class:`~repro.store.locks.RWLock`; every commit
 — a single ``put``/``remove`` as much as a transaction batch — validates all
 schemas and encodes everything *first*, then takes the exclusive side once to
 conflict-check, apply to storage (one WAL append + fsync for
-:class:`~repro.store.storage.FileStorage`), and maintain the indexes.
+:class:`~repro.store.storage.FileStorage`), and maintain the indexes — path
+indexes and element indexes alike, only after storage accepted the batch.
 Readers therefore only ever observe fully-committed states, and a failed
 commit leaves the database untouched by construction.
 """
@@ -48,14 +55,19 @@ from repro.calculus.rules import Rule, RuleSet
 from repro.calculus.terms import Formula, TupleFormula
 from repro.schema.check import check_object
 from repro.schema.types import SchemaType
-from repro.store.index import PathIndex
+from repro.store.index import ElementIndexView, MatchIndex, PathIndex
 from repro.store.locks import RWLock
-from repro.store.paths import Path
+from repro.store.paths import Path, navigate
 from repro.store.retry import DEFAULT_POLICY, RetryPolicy
 from repro.store.storage import MemoryStorage, StorageEngine
 from repro.store.transactions import Transaction
 
 __all__ = ["ObjectDatabase"]
+
+
+def _set_at(value: Optional[ComplexObject], set_path: Path) -> ComplexObject:
+    """The object at ``set_path``, given the value stored under its first step."""
+    return navigate(BOTTOM if value is None else value, Path(set_path.steps[1:]))
 
 
 class ObjectDatabase:
@@ -69,6 +81,9 @@ class ObjectDatabase:
     ):
         self._storage = storage if storage is not None else MemoryStorage()
         self._indexes: Dict[str, PathIndex] = {}
+        # Element indexes keyed by (set path, key path); the set path is a
+        # stored name plus tuple steps, exactly a plan ScanLeaf's path.
+        self._element_indexes: Dict[Tuple[Path, Path], MatchIndex] = {}
         self._schemas: Dict[str, SchemaType] = {}
         # ``lock_timeout`` (seconds) bounds every internal lock acquisition:
         # past it, reads and commits raise LockTimeout instead of hanging.
@@ -86,6 +101,7 @@ class ObjectDatabase:
             "query_root_pushdowns": 0,
             "query_index_shortcircuits": 0,
             "query_scans": 0,
+            "query_element_probes": 0,
         }
         # Names whose stored value is ⊤.  A ⊤ value collapses as_object() to
         # ⊤ whether or not a formula mentions its name, so the query pushdown
@@ -175,7 +191,9 @@ class ObjectDatabase:
            :class:`TransactionError` subclass) and applies nothing
            (first committer wins);
         3. storage applies the batch as one unit (one WAL append + fsync for
-           file-backed engines) and the path indexes are maintained.
+           file-backed engines); only once it has, the path indexes and the
+           element indexes are maintained (a failed apply leaves both
+           answering the pre-commit state).
 
         Deletes of names that are already absent are dropped from the batch;
         a batch that ends up empty applies nothing and bumps no version.
@@ -222,6 +240,10 @@ class ObjectDatabase:
                                     index.remove(name)
                                 else:
                                     index.add(name, value)
+                        for (set_path, _), element_index in self._element_indexes.items():
+                            name = set_path.steps[0]
+                            if name in effective:
+                                element_index.sync(_set_at(effective[name], set_path))
                         self._version += 1
             except TransactionError:
                 _METRICS.counter("store.conflicts").inc()
@@ -285,6 +307,61 @@ class ObjectDatabase:
         with self._lock.read_locked():
             return tuple(sorted(self._indexes))
 
+    def create_element_index(
+        self, set_path: Union[Path, str], key_path: Union[Path, str]
+    ) -> MatchIndex:
+        """Create (or return) the element index of one stored set at ``key_path``.
+
+        ``set_path`` starts at a stored name and follows tuple attributes to
+        the set (``"family"``, ``"r.members"``); ``key_path`` addresses the
+        atom inside each element (``"name"``; the empty path indexes atomic
+        elements).  Every later commit keeps the index in step, and
+        whole-database session queries whose scan pins an atom at that key
+        probe it instead of scanning the set.
+        """
+        set_path = set_path if isinstance(set_path, Path) else Path(set_path)
+        key_path = key_path if isinstance(key_path, Path) else Path(key_path)
+        if not set_path.steps:
+            raise StoreError("an element index's set path must start at a stored name")
+        key = (set_path, key_path)
+        with self._lock.read_locked():
+            index = self._element_indexes.get(key)
+        if index is not None:
+            return index
+        with self._lock.write_locked():
+            index = self._element_indexes.get(key)
+            if index is None:
+                index = MatchIndex(set_path, (key_path,))
+                index.sync(_set_at(self._storage.read(set_path.steps[0]), set_path))
+                self._element_indexes[key] = index
+            return index
+
+    def element_indexes(self) -> Tuple[Tuple[str, str], ...]:
+        """The ``(set path, key path)`` pairs currently element-indexed."""
+        with self._lock.read_locked():
+            return tuple(
+                sorted((str(paths[0]), str(paths[1])) for paths in self._element_indexes)
+            )
+
+    def _element_view(self, target: ComplexObject) -> Optional[ElementIndexView]:
+        """The element indexes a query against ``target`` may probe.
+
+        Only indexes whose source is the very set object at their set path
+        in ``target`` answer — an index over any other state would hand out
+        another snapshot's elements.  Callers hold the read lock.
+        """
+        if not self._element_indexes:
+            return None
+        entries = {
+            key: (index, index.generation)
+            for key, index in self._element_indexes.items()
+            if isinstance(index.source, SetObject)
+            and navigate(target, index.set_path) is index.source
+        }
+        if not entries:
+            return None
+        return ElementIndexView(entries, on_probe=lambda: self._bump("query_element_probes"))
+
     # -- queries --------------------------------------------------------------------------
     @property
     def access_stats(self) -> Dict[str, int]:
@@ -343,37 +420,44 @@ class ObjectDatabase:
     def _choose_access_path(self, parsed: Formula, allow_bottom: bool, plan=None):
         """One locked decision pass shared by the session facade and EXPLAIN.
 
-        Returns ``(kind, reason, restricted, total)``: ``kind`` is
+        Returns ``(kind, reason, target, total, view)``: ``kind`` is
         ``"refuted"`` (an index proves ⊥), ``"pushdown"`` (read only the
-        mentioned root attributes — ``restricted`` holds them) or
-        ``"snapshot"`` (interpret against the full :meth:`as_object`, with
+        mentioned root attributes — ``target`` is the tuple of them) or
+        ``"snapshot"`` (``target`` is the full database object, with
         ``reason`` saying why); ``total`` is the stored-object count at
-        decision time.  ``plan``, when given, is a compiled (bound)
-        :class:`~repro.plan.ir.BodyPlan` for ``parsed`` whose leaves the
-        refutation check reads instead of re-compiling the formula — how a
-        prepared query's cached plan avoids per-binding compilation.
-        Keeping the decision in one place guarantees EXPLAIN describes
-        exactly the access path a query takes.
+        decision time, and ``view`` the :class:`ElementIndexView` of the
+        element indexes that describe ``target`` (``None`` when none do,
+        for refuted queries, and under ``allow_bottom``, which never
+        probes).  Target and view come from one read-locked pass, so the
+        view can only answer for the state the query reads.  ``plan``, when
+        given, is a compiled (bound) :class:`~repro.plan.ir.BodyPlan` for
+        ``parsed`` whose leaves the refutation check reads instead of
+        re-compiling the formula — how a prepared query's cached plan avoids
+        per-binding compilation.  Keeping the decision in one place
+        guarantees EXPLAIN describes exactly the access path a query takes.
         """
         with self._lock.read_locked():
             total = len(self._storage.names())
             if not isinstance(parsed, TupleFormula):
-                return "snapshot", "formula is not tuple-shaped", None, total
-            if self._top_names:
-                return (
-                    "snapshot",
-                    "a stored value is ⊤, which collapses the database object",
-                    None,
-                    total,
-                )
-            restricted: Dict[str, ComplexObject] = {}
-            for name in parsed.attributes:
-                value = self._storage.read(name)
-                if value is not None:
-                    restricted[name] = value
-            if not allow_bottom and self._index_refutes(parsed, plan=plan):
-                return "refuted", "a path index refutes the query", restricted, total
-            return "pushdown", "", restricted, total
+                kind, reason = "snapshot", "formula is not tuple-shaped"
+            elif self._top_names:
+                kind = "snapshot"
+                reason = "a stored value is ⊤, which collapses the database object"
+            else:
+                kind, reason = "pushdown", ""
+            if kind == "snapshot":
+                target: ComplexObject = TupleObject(dict(self._storage.items()))
+            else:
+                restricted: Dict[str, ComplexObject] = {}
+                for name in parsed.attributes:
+                    value = self._storage.read(name)
+                    if value is not None:
+                        restricted[name] = value
+                target = TupleObject(restricted)
+                if not allow_bottom and self._index_refutes(parsed, plan=plan):
+                    return "refuted", "a path index refutes the query", target, total, None
+            view = None if allow_bottom else self._element_view(target)
+            return kind, reason, target, total, view
 
     @staticmethod
     def _pushdown_plan(parsed: Formula, target: ComplexObject):
@@ -446,22 +530,21 @@ class ObjectDatabase:
         parsed = self._as_formula(formula)
         notes: List[str] = []
         plan = None
+        view = None
         executable = True
         if against is not None:
             target = self._require(against)
             notes.append(f"target: stored object {against!r}")
         else:
-            kind, reason, restricted, total = self._choose_access_path(
+            kind, reason, target, total, view = self._choose_access_path(
                 parsed, allow_bottom
             )
             if kind == "snapshot":
-                target = self.as_object()
                 notes.append(f"target: full snapshot ({reason})")
             elif kind == "refuted":
                 # query() answers ⊥ straight from the index — it reads no
                 # stored objects and executes no plan, so neither does the
                 # analysis; the plan is shown with estimates only.
-                target = TupleObject(restricted)
                 plan = self._pushdown_plan(parsed, target)
                 executable = False
                 notes.append(
@@ -470,9 +553,8 @@ class ObjectDatabase:
                     " (plan shown with estimates only)"
                 )
             else:
-                target = TupleObject(restricted)
                 notes.append(
-                    f"target: root-attribute pushdown reads {len(restricted)}"
+                    f"target: root-attribute pushdown reads {len(target)}"
                     f" of {total} stored objects"
                 )
                 plan = self._pushdown_plan(parsed, target)
@@ -483,7 +565,7 @@ class ObjectDatabase:
             record = {"timed": True} if analyze else {}
             match_plan(
                 plan, target, allow_bottom=allow_bottom, record=record,
-                executor=executor,
+                indexes=view, executor=executor,
             )
         rendered = render_body_plan(
             plan, record=record, header=f"query plan: {parsed.to_text()}"

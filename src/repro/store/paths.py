@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 
 from repro.core.objects import BOTTOM, ComplexObject, SetObject, TupleObject
 
-__all__ = ["Path", "get_path", "has_path", "iter_paths"]
+__all__ = ["Path", "get_path", "has_path", "iter_paths", "navigate"]
 
 
 class Path:
@@ -92,6 +92,24 @@ def get_path(value: ComplexObject, path: Union[Path, str]) -> ComplexObject:
                     if not item.is_bottom:
                         gathered.append(item)
             current = SetObject(gathered)
+        else:
+            return BOTTOM
+    return current
+
+
+def navigate(value: ComplexObject, path: Path) -> ComplexObject:
+    """Follow tuple attributes only; ⊥ when a step cannot be taken, ⊤ sticky.
+
+    Unlike :func:`get_path` this does *not* descend through sets — the
+    engine's delta paths and the element indexes' set paths address the sets
+    themselves.
+    """
+    current = value
+    for step in path:
+        if current.is_top:
+            return current
+        if isinstance(current, TupleObject):
+            current = current.get(step)
         else:
             return BOTTOM
     return current

@@ -9,20 +9,29 @@ Two contracts from the API redesign, pinned over generated inputs:
 * **parameters ≡ substituted constants** — executing a prepared query with
   ``$name`` bindings equals re-parsing the source with the values spliced in
   as constants, i.e. late binding changes when planning happens, never what
-  is computed.
+  is computed;
+* **indexed ≡ calculus** — across random commit sequences on a stored set
+  that prepared queries element-indexed, every prepared and ad-hoc answer,
+  drained and streamed, equals the calculus over ``as_object()``, in a
+  memory session and in a WAL session after reopen; a failed commit leaves
+  the index answering the pre-commit state.
 """
 
+import os
+import tempfile
 import warnings
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro import Program, Session, parse_formula, parse_object  # noqa: E402
+from repro import Program, Session, connect, parse_formula, parse_object  # noqa: E402
 from repro.calculus.interpretation import interpret as baseline_interpret  # noqa: E402
 from repro.core.lattice import union_all  # noqa: E402
-from repro.core.objects import Atom, SetObject, TupleObject  # noqa: E402
+from repro.core.errors import StoreError  # noqa: E402
+from repro.core.objects import TOP, Atom, SetObject, TupleObject  # noqa: E402
+from repro.fault import inject  # noqa: E402
 
 _ATTRIBUTE_NAMES = ("a", "b", "c", "r1", "r2", "name")
 
@@ -152,3 +161,161 @@ def test_closure_query_equals_program_query(generations, fanout):
     assert via_session == baseline_interpret(
         query, program.evaluate(engine="naive").value
     )
+
+
+# -- the store's element index against the calculus ----------------------------------------
+
+_KEYS = ("a", "b", "c")
+# Prepared queries create the element indexes (family.name, r.members.name);
+# the join query probes r.members.name with a bound variable, the ad-hoc one
+# with a constant, and parameter values cover non-atoms (no probe) too.
+_INDEXED_PREPARED = (
+    "[family: {[name: $p, kids: K]}]",
+    "[family: {[name: $p, kids: {K}]}, r: [members: {[name: $p]}]]",
+    "[family: {[name: b]}]",
+)
+_INDEXED_ADHOC = (
+    "[family: {[name: a, kids: K]}]",
+    "[family: {[name: N, kids: {K}]}, r: [members: {[name: N]}]]",
+    "[family: {N}]",
+)
+_PARAM_VALUES = ("a", "c", "zz", "{a}")
+
+
+def _members():
+    """Set elements: keyed or keyless tuples, non-atom keys, bare atoms."""
+    names = st.one_of(
+        st.sampled_from(_KEYS).map(Atom),
+        st.sampled_from(("{a}", "[x: a]")).map(parse_object),
+    )
+    kids = st.lists(st.sampled_from(("k1", "k2")).map(Atom), max_size=2).map(SetObject)
+    tuples = st.fixed_dictionaries({}, optional={"name": names, "kids": kids}).map(
+        TupleObject
+    )
+    return st.one_of(tuples, st.sampled_from(_KEYS).map(Atom))
+
+
+def _family_sets():
+    return st.lists(_members(), max_size=5).map(SetObject)
+
+
+_COMMITS = st.one_of(
+    st.tuples(st.just("insert"), _members()),
+    st.tuples(st.just("discard"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("overwrite"), _family_sets()),
+    st.tuples(st.just("delete"), st.none()),
+    st.tuples(st.just("top"), st.sampled_from(("family", "other"))),
+    st.tuples(st.just("untop"), st.none()),
+)
+
+
+def _commit(database, change) -> None:
+    """Apply one generated commit; ``family`` and ``r.members`` move together."""
+    kind, argument = change
+    current = database.get("family")
+    if kind == "insert":
+        if isinstance(current, SetObject):
+            database.insert("family", "", argument)
+        else:
+            database.put("family", SetObject([argument]))
+    elif kind == "discard":
+        if isinstance(current, SetObject) and len(current):
+            database.discard(
+                "family", "", current.elements[argument % len(current)]
+            )
+    elif kind == "overwrite":
+        database.commit_batch(
+            {"family": argument, "r": TupleObject({"members": argument})}
+        )
+    elif kind == "delete":
+        database.commit_batch({"family": None, "r": None})
+    elif kind == "top":
+        database.put(argument, TOP)
+    else:
+        database.remove("other")
+
+
+def _substituted(source: str, value: str) -> str:
+    return source.replace("$p", value)
+
+
+def _assert_indexed_answers_equal_the_calculus(session, prepared) -> None:
+    state = session.database.as_object()
+    for source, query in zip(_INDEXED_PREPARED, prepared):
+        values = _PARAM_VALUES if "$p" in source else (None,)
+        for value in values:
+            if value is None:
+                drained, streamed = query.execute().all(), query.execute()
+                formula = parse_formula(source)
+            else:
+                bound = {"p": parse_object(value)}
+                drained, streamed = query.execute(bound).all(), query.execute(bound)
+                formula = parse_formula(_substituted(source, value))
+            expected = baseline_interpret(formula, state)
+            assert drained == expected, (source, value)
+            assert union_all(list(streamed)) == expected, (source, value)
+    for source in _INDEXED_ADHOC:
+        formula = parse_formula(source)
+        expected = baseline_interpret(formula, state)
+        assert session.query(formula) == expected, source
+        assert union_all(list(session.execute(formula))) == expected, source
+
+
+def _prepare_indexed(session):
+    prepared = [session.prepare(source, lint="off") for source in _INDEXED_PREPARED]
+    assert session.database.element_indexes() == (
+        ("family", "name"),
+        ("r.members", "name"),
+    )
+    return prepared
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial=_family_sets(), changes=st.lists(_COMMITS, max_size=6))
+def test_indexed_queries_equal_the_calculus_across_commits(initial, changes):
+    with connect() as session:
+        _commit(session.database, ("overwrite", initial))
+        prepared = _prepare_indexed(session)
+        _assert_indexed_answers_equal_the_calculus(session, prepared)
+        for change in changes:
+            _commit(session.database, change)
+            _assert_indexed_answers_equal_the_calculus(session, prepared)
+        assert session.database.access_stats["query_element_probes"] > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(initial=_family_sets(), changes=st.lists(_COMMITS, max_size=4))
+def test_indexed_queries_equal_the_calculus_after_wal_reopen(initial, changes):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "indexed.wal")
+        with connect(path) as session:
+            _commit(session.database, ("overwrite", initial))
+            _prepare_indexed(session)
+            for change in changes:
+                _commit(session.database, change)
+            before = session.database.as_object()
+        with connect(path) as reopened:
+            assert reopened.database.as_object() == before
+            prepared = _prepare_indexed(reopened)
+            _assert_indexed_answers_equal_the_calculus(reopened, prepared)
+            _commit(reopened.database, ("insert", parse_object("[name: a, kids: {k9}]")))
+            _assert_indexed_answers_equal_the_calculus(reopened, prepared)
+
+
+@settings(max_examples=20, deadline=None)
+@given(initial=_family_sets(), change=_COMMITS)
+def test_failed_commit_leaves_the_index_answering_the_pre_commit_state(
+    initial, change
+):
+    with tempfile.TemporaryDirectory() as directory:
+        with connect(os.path.join(directory, "failed.wal")) as session:
+            _commit(session.database, ("overwrite", initial))
+            prepared = _prepare_indexed(session)
+            before = session.database.as_object()
+            try:
+                with inject("store.wal.append:fail:times=1"):
+                    _commit(session.database, change)
+            except StoreError:
+                pass  # the injected append failure; a no-op change commits nothing
+            assert session.database.as_object() == before
+            _assert_indexed_answers_equal_the_calculus(session, prepared)

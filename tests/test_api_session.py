@@ -21,6 +21,7 @@ import repro
 from repro import ParameterError, ReproError, Session, connect, parse_formula, parse_object
 from repro.calculus.interpretation import interpret as baseline_interpret
 from repro.core.errors import ComplexObjectError, StoreError
+from repro.core.lattice import union_all
 from repro.core.objects import BOTTOM
 
 
@@ -194,6 +195,151 @@ class TestQueriesAndTargets:
         assert session.query("[r1: {[a: X]}]") == parse_object("[r1: {[a: 1], [a: 2]}]")
 
 
+class TestElementIndexes:
+    """The store's element index: created by prepare, probed by every query."""
+
+    FAMILY = (
+        "{[name: abraham, kids: {[name: isaac]}], [name: isaac, kids: {[name: jacob]}],"
+        " [name: sarah], [kids: {[name: nobody]}], [name: {odd}, kids: {[name: x]}]}"
+    )
+    LOOKUP = "[family: {[name: $p, kids: {[name: X]}]}]"
+
+    @pytest.fixture
+    def family(self):
+        with connect() as s:
+            s.put("family", parse_object(self.FAMILY))
+            yield s
+
+    @staticmethod
+    def _probes(session):
+        return session.database.access_stats["query_element_probes"]
+
+    def test_prepare_creates_the_index_and_execute_probes_it(self, family):
+        prepared = family.prepare(self.LOOKUP)
+        assert family.database.element_indexes() == (("family", "name"),)
+        before = self._probes(family)
+        answer = prepared.execute(p="abraham").all()
+        assert answer == parse_object(
+            "[family: {[name: abraham, kids: {[name: isaac]}]}]"
+        )
+        assert self._probes(family) == before + 1
+        stats = family.stats()["query"]
+        assert stats.index_hits == 1
+        # One family witness and its one kid, not all five elements.
+        assert stats.match_attempts == 2
+
+    def test_adhoc_queries_probe_but_never_create(self, family):
+        query = "[family: {[name: isaac, kids: {[name: X]}]}]"
+        expected = baseline_interpret(parse_formula(query), family.database.as_object())
+        before = self._probes(family)
+        assert family.query(query) == expected
+        assert family.database.element_indexes() == ()
+        assert self._probes(family) == before
+        family.prepare(self.LOOKUP)
+        assert family.query(query) == expected
+        assert self._probes(family) == before + 1
+
+    def test_static_keys_of_a_prepared_query_are_indexed_too(self, family):
+        family.prepare("[family: {[name: sarah, kids: K]}]")
+        assert family.database.element_indexes() == (("family", "name"),)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"against": "family"}, {"on_closure": True}, {"allow_bottom": True}],
+    )
+    def test_prepare_outside_store_mode_creates_no_index(self, family, options):
+        family.prepare("[family: {[name: $p]}]", **options)
+        assert family.database.element_indexes() == ()
+
+    def test_seeded_session_creates_no_index(self):
+        session = Session.over_object(parse_object("[family: {[name: a]}]"))
+        session.prepare("[family: {[name: $p]}]")
+        assert session.database.element_indexes() == ()
+
+    def test_allow_bottom_never_probes(self, family):
+        family.prepare(self.LOOKUP)
+        before = self._probes(family)
+        query = parse_formula("[family: {[name: sarah, kids: K]}]")
+        target = family.database.as_object()
+        answer = family.query(query, allow_bottom=True)
+        assert answer == baseline_interpret(query, target, allow_bottom=True)
+        assert union_all(family.execute(query, allow_bottom=True)) == answer
+        assert self._probes(family) == before
+        assert family.stats()["query"].index_hits == 0
+
+    def test_commits_keep_the_index_in_step(self, family):
+        prepared = family.prepare(self.LOOKUP)
+        db = family.database
+        db.insert("family", "", parse_object("[name: sarah, kids: {[name: isaac]}]"))
+        db.discard("family", "", parse_object("[name: abraham, kids: {[name: isaac]}]"))
+        for person in ("abraham", "sarah", "isaac", "nobody"):
+            formula = parse_formula(self.LOOKUP.replace("$p", person))
+            expected = baseline_interpret(formula, db.as_object())
+            assert prepared.execute(p=person).all() == expected
+            assert family.query(formula) == expected
+        db.remove("family")
+        assert prepared.execute(p="isaac").all() is BOTTOM
+        db.put("family", parse_object("{[name: isaac, kids: {[name: esau]}]}"))
+        assert prepared.execute(p="isaac").all() == parse_object(
+            "[family: {[name: isaac, kids: {[name: esau]}]}]"
+        )
+
+    def test_cursor_opened_before_a_commit_streams_its_own_snapshot(self, family):
+        prepared = family.prepare(self.LOOKUP)
+        db = family.database
+        before_state = db.as_object()
+        pending = prepared.execute(p="isaac")  # nothing streamed yet
+        drained = prepared.execute(p="isaac")
+        started = family.execute(prepared, {"p": "isaac"}, batch_size=1)
+        first = next(started)
+        probes = self._probes(family)
+        db.discard("family", "", parse_object("[name: isaac, kids: {[name: jacob]}]"))
+        db.insert("family", "", parse_object("[name: isaac, kids: {[name: esau]}]"))
+        expected = baseline_interpret(
+            parse_formula(self.LOOKUP.replace("$p", "isaac")), before_state
+        )
+        assert list(pending) == [expected]
+        assert drained.all() == expected
+        assert [first] + list(started) == [expected]
+        # The commit moved the index on, so the old cursors scanned their
+        # snapshot instead of probing the new state.
+        assert self._probes(family) == probes
+        assert prepared.execute(p="isaac").all() == parse_object(
+            "[family: {[name: isaac, kids: {[name: esau]}]}]"
+        )
+
+    def test_explain_shows_the_probe_on_the_leaf(self, family):
+        prepared = family.prepare(self.LOOKUP)
+        note = "via element index family.name: 1 of 5 elements"
+        assert note in prepared.explain(p="abraham")
+        assert note in prepared.explain(p="abraham", analyze=True)
+        adhoc = "[family: {[name: abraham, kids: {[name: X]}]}]"
+        assert note in family.explain(adhoc, analyze=True)
+        assert note in family.database.explain_query(adhoc)
+        assert "via element index" not in family.explain(adhoc, allow_bottom=True)
+
+    def test_probe_counter_is_a_declared_metric(self, family):
+        from repro.obs.metrics import REGISTRY
+
+        counter = REGISTRY.counter("store.index.query_element_probes")
+        before = counter.value
+        family.prepare(self.LOOKUP).execute(p="sarah").all()
+        assert counter.value == before + 1
+        assert "store.index.query_element_probes" in repro.obs.snapshot()["counters"]
+
+    def test_view_answers_only_for_the_indexed_set(self, family):
+        family.prepare(self.LOOKUP)
+        db = family.database
+        assert db._element_view(db.as_object()) is not None
+        # Another state's family set: the index must not answer for it.
+        other = parse_object("[family: {[name: abraham, kids: {[name: esau]}]}]")
+        assert db._element_view(other) is None
+
+    def test_element_index_needs_a_stored_name(self, family):
+        with pytest.raises(StoreError):
+            family.database.create_element_index("", "name")
+
+
 class TestRulesAndClosures:
     FAMILY = (
         "[family: {[name: abraham, children: {[name: isaac]}],"
@@ -310,10 +456,12 @@ class TestCacheEviction:
             session.database.create_index("b")
             prepared = session.prepare("[r1: {[a: $x, b: B]}]")
             prepared.execute(x=0).all()  # first execution plans (and compiles)
-            before = compile_body.cache_info().currsize
+            # Misses, not the cache size: a full bounded cache keeps its size
+            # while churning.
+            before = compile_body.cache_info().misses
             for value in range(1, 10):
                 prepared.execute(x=value).all()
-            assert compile_body.cache_info().currsize == before
+            assert compile_body.cache_info().misses == before
 
     def test_refuted_bindings_hit_the_plan_cache_without_compiling(self):
         from repro.plan.compile import compile_body
@@ -323,11 +471,11 @@ class TestCacheEviction:
             session.database.create_index("name")
             prepared = session.prepare("[family: {[name: $who, kids: K]}]")
             prepared.execute(who="abraham").all()
-            before = compile_body.cache_info().currsize
+            before = compile_body.cache_info().misses
             shorts = session.database.access_stats["query_index_shortcircuits"]
             for index in range(5):
                 assert prepared.execute(who=f"nobody{index}").all().is_bottom
-            assert compile_body.cache_info().currsize == before
+            assert compile_body.cache_info().misses == before
             assert (
                 session.database.access_stats["query_index_shortcircuits"]
                 == shorts + 5

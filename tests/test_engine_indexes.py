@@ -1,9 +1,17 @@
-"""Unit tests for match indexes (repro.engine.indexes)."""
+"""Unit tests for the element-level match index and the engine's IndexStore.
+
+:class:`MatchIndex` and :func:`element_keys` live in :mod:`repro.store.index`
+(the store keeps the same index for session queries); the engine's
+:class:`IndexStore` builds on them.
+"""
+
+import pytest
 
 from repro import parse_object, parse_rule
 from repro.calculus.terms import Constant, formula, var
-from repro.core.objects import Atom, BOTTOM
-from repro.engine.indexes import IndexStore, MatchIndex, element_keys
+from repro.core.objects import Atom, BOTTOM, TOP
+from repro.engine.indexes import IndexStore
+from repro.store.index import MatchIndex, element_keys
 from repro.store.paths import Path
 
 
@@ -80,6 +88,100 @@ class TestMatchIndex:
         assert index.candidates(Path("name"), Atom("ann")) == ()
         assert len(index) == 0
 
+    def test_remove_drops_the_element_from_every_bucket(self):
+        index = self._index()
+        index.remove(self.ELEMENTS[0])
+        assert index.candidates(Path("name"), Atom("ann")) == (self.ELEMENTS[2],)
+        assert len(index) == len(self.ELEMENTS) - 1
+        index.remove(self.ELEMENTS[4])
+        assert index.candidates(Path(()), Atom("plain")) == ()
+
+    def test_remove_of_an_unindexed_element_is_a_no_op(self):
+        index = self._index()
+        generation = index.generation
+        index.remove(parse_object("[name: zoe]"))
+        assert index.generation == generation
+        assert len(index) == len(self.ELEMENTS)
+
+    def test_removed_element_can_be_added_again(self):
+        index = self._index()
+        index.remove(self.ELEMENTS[1])
+        index.add(self.ELEMENTS[1])
+        assert index.candidates(Path("name"), Atom("bob")) == (self.ELEMENTS[1],)
+
+    def test_buckets_are_replaced_not_appended_to(self):
+        index = self._index()
+        before = index.candidates(Path("name"), Atom("ann"))
+        index.add(parse_object("[name: ann, age: 9]"))
+        index.remove(self.ELEMENTS[0])
+        # A tuple handed out earlier never changes under its holder.
+        assert before == (self.ELEMENTS[0], self.ELEMENTS[2])
+        assert set(index.candidates(Path("name"), Atom("ann"))) == {
+            self.ELEMENTS[2],
+            parse_object("[name: ann, age: 9]"),
+        }
+
+    def test_every_mutation_bumps_the_generation(self):
+        index = self._index()
+        seen = [index.generation]
+        index.add(parse_object("[name: cy]"))
+        seen.append(index.generation)
+        index.remove(parse_object("[name: cy]"))
+        seen.append(index.generation)
+        index.sync(parse_object("{[name: dee]}"))
+        seen.append(index.generation)
+        index.clear()
+        seen.append(index.generation)
+        assert seen == sorted(set(seen))
+
+    def test_sync_reflects_exactly_the_current_set(self):
+        index = MatchIndex(Path("r"), [Path("name")])
+        index.sync(parse_object("{[name: ann], [name: bob, age: 2], [age: 3]}"))
+        assert len(index) == 3
+        index.sync(parse_object("{[name: bob, age: 2], [name: cy], [name: {x}]}"))
+        assert index.candidates(Path("name"), Atom("ann")) == ()
+        assert index.candidates(Path("name"), Atom("bob")) == (
+            parse_object("[name: bob, age: 2]"),
+        )
+        assert index.candidates(Path("name"), Atom("cy")) == (parse_object("[name: cy]"),)
+        assert len(index) == 3
+
+    def test_sync_to_a_non_set_empties_the_index(self):
+        index = MatchIndex(Path("r"), [Path("name")])
+        index.sync(parse_object("{[name: ann]}"))
+        index.sync(BOTTOM)
+        assert len(index) == 0
+        assert index.candidates(Path("name"), Atom("ann")) == ()
+        assert index.source is BOTTOM
+
+    def test_sync_diffs_an_element_replaced_in_place(self):
+        # [name: bb] takes [name: b]'s position in the canonical order, so
+        # the elements around it line up by identity on both sides.
+        index = MatchIndex(Path("r"), [Path("name")])
+        index.sync(parse_object("{[name: a], [name: b], [name: c], [name: d]}"))
+        index.sync(parse_object("{[name: a], [name: bb], [name: c], [name: d]}"))
+        assert index.candidates(Path("name"), Atom("b")) == ()
+        assert index.candidates(Path("name"), Atom("bb")) == (parse_object("[name: bb]"),)
+        assert len(index) == 4
+
+    def test_sync_diffs_changes_at_both_ends(self):
+        index = MatchIndex(Path("r"), [Path("name")])
+        index.sync(parse_object("{[name: b], [name: c], [name: d]}"))
+        index.sync(parse_object("{[name: a], [name: c], [name: e]}"))
+        found = {
+            name: index.candidates(Path("name"), Atom(name)) for name in "abcde"
+        }
+        assert {name for name, hit in found.items() if hit} == {"a", "c", "e"}
+        assert len(index) == 3
+
+    def test_sync_to_the_same_set_changes_nothing(self):
+        index = MatchIndex(Path("r"), [Path("name")])
+        value = parse_object("{[name: ann]}")
+        index.sync(value)
+        generation = index.generation
+        index.sync(parse_object("{[name: ann]}"))  # interned: the same object
+        assert index.generation == generation
+
 
 class TestIndexStore:
     BODY = parse_rule(
@@ -109,7 +211,47 @@ class TestIndexStore:
         store.refresh(before, after)
         assert store.candidates(Path("doa"), Path(()), Atom("isaac")) == (Atom("isaac"),)
 
+    def test_refresh_rebuilds_when_no_sound_delta_exists(self):
+        store = IndexStore()
+        store.register_body(self.BODY)
+        store.refresh(BOTTOM, parse_object("[doa: {abraham}, family: {}]"))
+        store.refresh(BOTTOM, TOP)
+        assert store.candidates(Path("doa"), Path(()), Atom("abraham")) == ()
+        assert len(store) == 2
+
     def test_unknown_set_path_cannot_answer(self):
         store = IndexStore()
         store.register_body(self.BODY)
         assert store.candidates(Path("nowhere"), Path(()), Atom(1)) is None
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+
+def _keyed_sets():
+    element = st.fixed_dictionaries(
+        {}, optional={"name": st.sampled_from("abcdef"), "n": st.integers(0, 3)}
+    ).map(lambda attributes: parse_object(
+        "[" + ", ".join(f"{k}: {v}" for k, v in sorted(attributes.items())) + "]"
+    ))
+    return st.lists(element, max_size=8).map(lambda elements: parse_object(
+        "{" + ", ".join(e.to_text() for e in elements) + "}"
+    ))
+
+
+@given(steps=st.lists(_keyed_sets(), min_size=1, max_size=5))
+def test_incremental_sync_equals_a_fresh_build(steps):
+    """Syncing through any sequence of sets leaves the buckets of a fresh sync."""
+    incremental = MatchIndex(Path("r"), [Path("name"), Path("n")])
+    for value in steps:
+        incremental.sync(value)
+    fresh = MatchIndex(Path("r"), [Path("name"), Path("n")])
+    fresh.sync(steps[-1])
+    assert len(incremental) == len(fresh) == len(steps[-1])
+    for key_path, keys in ((Path("name"), [Atom(c) for c in "abcdef"]),
+                           (Path("n"), [Atom(i) for i in range(4)])):
+        for key in keys:
+            assert set(incremental.candidates(key_path, key)) == set(
+                fresh.candidates(key_path, key)
+            )

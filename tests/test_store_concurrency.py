@@ -121,6 +121,99 @@ class TestConcurrentReadersAndWriter:
         assert database["left"] == obj({"value": self.ROUNDS})
         assert database["right"] == obj({"value": self.ROUNDS})
 
+    def test_prepared_lookups_see_snapshots_while_a_writer_inserts(self):
+        """Readers probe the element index while a writer moves it on.
+
+        The writer inserts people (and now and then discards one); four
+        reader sessions run an element-indexed prepared lookup, drained or
+        streamed, the whole time.  Every answer must be the calculus answer
+        over one committed state — a torn bucket or a probe into a newer
+        state would show up as an answer no state produces.
+        """
+        from repro.api import Session
+        from repro.calculus.interpretation import interpret
+        from repro.core.lattice import union_all
+        from repro.core.objects import SetObject, TupleObject
+        from repro.parser import parse_formula
+
+        names = ("p0", "p1", "p2")
+        lookup = "[family: {[name: $p, kids: K]}]"
+        changes = []
+        for number in range(self.ROUNDS):
+            if number % 5 == 4:
+                changes.append(("discard", changes[number - 3][1]))
+            else:
+                person = obj({"name": names[number % 3], "kids": [f"k{number}"]})
+                changes.append(("insert", person))
+        states = [SetObject(())]
+        for kind, person in changes:
+            elements = set(states[-1].elements)
+            if kind == "insert":
+                elements.add(person)
+            else:
+                elements.discard(person)
+            states.append(SetObject(elements))
+        possible = {
+            name: {
+                interpret(
+                    parse_formula(lookup.replace("$p", name)),
+                    TupleObject({"family": state}),
+                )
+                for state in states
+            }
+            for name in names
+        }
+
+        database = ObjectDatabase()
+        database.put("family", states[0])
+        Session(database=database).prepare(lookup)  # creates the element index
+        stop = threading.Event()
+        answers = []
+        errors = []
+
+        def writer():
+            try:
+                for kind, person in changes:
+                    if kind == "insert":
+                        database.insert("family", "", person)
+                    else:
+                        database.discard("family", "", person)
+            except Exception as error:  # pragma: no cover - diagnostic only
+                errors.append(error)
+            finally:
+                stop.set()
+
+        def reader(slot: int):
+            try:
+                session = Session(database=database)
+                prepared = session.prepare(lookup)
+                turn = 0
+                while not stop.is_set():
+                    name = names[(slot + turn) % 3]
+                    cursor = prepared.execute(p=name)
+                    answer = cursor.all() if turn % 2 else union_all(list(cursor))
+                    answers.append((name, answer))
+                    turn += 1
+            except Exception as error:  # pragma: no cover - diagnostic only
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=reader, args=(slot,)) for slot in range(self.READERS)
+        ]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors
+        assert answers
+        impossible = [
+            (name, answer) for name, answer in answers if answer not in possible[name]
+        ]
+        assert not impossible
+        assert database.access_stats["query_element_probes"] > 0
+        assert database["family"] == states[-1]
+
     def test_concurrent_increments_lose_no_update(self):
         """Optimistic transactions with retry: every increment lands."""
         database = ObjectDatabase()

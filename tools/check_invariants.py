@@ -33,7 +33,7 @@ Four invariants that matter for correctness but that no unit test can pin
 ``lock-discipline``
     Public methods of :class:`repro.store.ObjectDatabase` may only touch the
     lock-protected state (``_storage``, ``_version``, ``_indexes``,
-    ``_schemas``, ``_top_names``) inside a ``with self._lock.read_locked()``
+    ``_element_indexes``, ``_schemas``, ``_top_names``) inside a ``with self._lock.read_locked()``
     or ``with self._lock.write_locked()`` block.  Private helpers are exempt
     (their contract is "callers hold the lock"); a public-method exception
     (e.g. teardown, which is single-threaded by contract) carries the pragma
@@ -64,7 +64,14 @@ UNLOCKED_OK_PRAGMA = "invariant: unlocked-ok"
 
 #: ObjectDatabase attributes guarded by ``self._lock``.
 PROTECTED_ATTRIBUTES = frozenset(
-    {"_storage", "_version", "_indexes", "_schemas", "_top_names"}
+    {
+        "_storage",
+        "_version",
+        "_indexes",
+        "_element_indexes",
+        "_schemas",
+        "_top_names",
+    }
 )
 
 
